@@ -80,7 +80,6 @@ func ingestLoader(src *source, svc *ingest.Service) reload.LoadFunc {
 		meta.PeakBytes = st.PeakBytes
 		return &reload.Candidate{
 			N:         st.N,
-			Query:     eng.QueryInto,
 			RankQuery: eng.QueryRankInto,
 			Rank:      st.Rank,
 			Bound:     eng.TruncationBound,

@@ -188,3 +188,72 @@ func TestIngestRebuildLoaderPublishesSnapshot(t *testing.T) {
 		t.Fatalf("rebuilt over m=%d, want %d", status.M, g.M()+2)
 	}
 }
+
+// TestSnapshotBootIngestSurvivesRebuild boots the way main does from a
+// published snapshot with -waldir: the boot engine maps the snapshot,
+// the reload manager owns the mapping's release, and a drift-triggered
+// rebuild swaps the boot generation out (unmapping it). Streamed edges
+// must keep being accepted afterwards — the ingest service's dynamic
+// state was built over the mapped boot factors and outlives them.
+func TestSnapshotBootIngestSurvivesRebuild(t *testing.T) {
+	g := testGraph(t)
+	snapDir := t.TempDir()
+	pre, err := csrplus.NewEngine(g, csrplus.Options{Rank: 3, Damping: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pre.SaveSnapshot(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	src := &source{g: g, algo: csrplus.AlgoCSRPlus, rank: 3, damping: 0.6, snapDir: snapDir}
+	cand, eng, err := src.build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix, ok := eng.CoreIndex(); !ok || cand.Meta.Source != "snapshot" || !ix.Mapped() {
+		t.Skipf("boot did not map the snapshot (source %q)", cand.Meta.Source)
+	}
+	svc, err := setupIngest(g, eng, cand, t.TempDir(), 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sv := serve.NewRanked(serve.Ranked{
+		N: cand.N, Rank: cand.Rank, Bound: cand.Bound,
+		Query: cand.RankQuery, Drift: cand.Drift,
+	}, serve.Config{Linger: -1})
+	defer sv.Close()
+	man := reload.New(sv, ingestLoader(src, svc), cand.Meta)
+	man.SetBootRelease(cand.Release)
+	rebuilt := make(chan error, 4)
+	svc.SetRebuildTrigger(func() {
+		_, err := reloadAndCommit(context.Background(), man, svc)
+		rebuilt <- err
+	})
+	if err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(man, sv, nil, "sesame", nil, svc))
+	defer srv.Close()
+
+	// One edge overruns the 1e-9 budget: the rebuild commits and releases
+	// the boot mapping.
+	if code, body := postEdges(t, srv, "sesame", `{"edges":[{"src":1,"dst":0}]}`); code != http.StatusOK {
+		t.Fatalf("first append: %d %v", code, body)
+	}
+	if err := <-rebuilt; err != nil {
+		t.Fatalf("drift rebuild: %v", err)
+	}
+	if gen := man.Current().Generation; gen != 2 {
+		t.Fatalf("serving generation %d after the rebuild, want 2", gen)
+	}
+	if code, body := postEdges(t, srv, "sesame", `{"edges":[{"src":2,"dst":0}]}`); code != http.StatusOK {
+		t.Fatalf("append after the rebuild: %d %v", code, body)
+	}
+	if err := <-rebuilt; err != nil {
+		t.Fatalf("second drift rebuild: %v", err)
+	}
+	if code, body := doReq(t, srv, http.MethodGet, "/topk?node=0&k=3", ""); code != http.StatusOK {
+		t.Fatalf("topk after two rebuilds: %d %v", code, body)
+	}
+}

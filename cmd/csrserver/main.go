@@ -267,9 +267,11 @@ func main() {
 		}
 	}
 
-	// NewRanked: engine passes reuse a pooled n x |Q| scratch matrix and
-	// see the batch context (an abandoned batch stops mid-pass); engines
-	// with rank structure additionally serve truncated under pressure.
+	// NewRanked: each in-flight batch runs one engine pass into a pooled
+	// n x |Q| matrix and answers every co-batched request from it in one
+	// row-major pass (no per-column copies); the pass sees the batch
+	// context (an abandoned batch stops mid-pass), and engines with rank
+	// structure additionally serve truncated under pressure.
 	sv := serve.NewRanked(serve.Ranked{
 		N:     cand.N,
 		Rank:  cand.Rank,
@@ -414,7 +416,6 @@ func (s *source) buildMono(ctx context.Context) (*reload.Candidate, *csrplus.Eng
 	meta.PeakBytes = st.PeakBytes
 	return &reload.Candidate{
 		N:         st.N,
-		Query:     eng.QueryInto,
 		RankQuery: eng.QueryRankInto, // rank-aware generation: context + degradation
 		Rank:      st.Rank,
 		Bound:     eng.TruncationBound,
@@ -539,7 +540,6 @@ func (s *source) shardCandidate(meta reload.Meta) *reload.Candidate {
 	rt := s.router
 	return &reload.Candidate{
 		N:         rt.N(),
-		Query:     rt.QueryInto,
 		RankQuery: rt.QueryRankInto,
 		Rank:      rt.Rank(),
 		Bound:     rt.TruncationBound,

@@ -18,6 +18,7 @@ import (
 	"csrplus/internal/core"
 
 	"csrplus/internal/cache"
+	"csrplus/internal/dense"
 	"csrplus/internal/reload"
 	"csrplus/internal/serve"
 	"csrplus/internal/shard"
@@ -57,7 +58,7 @@ func testManager(tb testing.TB, eng *csrplus.Engine, sv *serve.Server) *reload.M
 	load := func(context.Context) (*reload.Candidate, error) {
 		m := meta
 		m.Source = "rebuild"
-		return &reload.Candidate{N: st.N, Query: eng.QueryInto, Meta: m}, nil
+		return &reload.Candidate{N: st.N, RankQuery: eng.QueryRankInto, Meta: m}, nil
 	}
 	return reload.New(sv, load, meta)
 }
@@ -75,7 +76,7 @@ func testServerAuth(t *testing.T, cfg serve.Config, lru *cache.LRU, adminToken s
 		cfg.Linger = -1
 	}
 	cfg.Cache = lru
-	sv := serve.New(6, eng.Query, cfg)
+	sv := serve.NewRanked(serve.Ranked{N: 6, Query: eng.QueryRankInto}, cfg)
 	t.Cleanup(sv.Close)
 	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, lru, adminToken, nil, nil))
 	t.Cleanup(srv.Close)
@@ -239,11 +240,11 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestOverloadReturns429(t *testing.T) {
 	eng := testEngine(t)
 	gate := make(chan struct{})
-	blocking := func(queries []int) ([][]float64, error) {
+	blocking := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		<-gate
-		return eng.Query(queries)
+		return eng.QueryRankInto(ctx, queries, rank, scratch)
 	}
-	sv := serve.New(6, blocking, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1})
+	sv := serve.NewRanked(serve.Ranked{N: 6, Query: blocking}, serve.Config{MaxBatch: 1, Linger: -1, MaxPending: 1, Workers: 1})
 	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", nil, nil))
 	var gateOnce sync.Once
 	release := func() { gateOnce.Do(func() { close(gate) }) }
@@ -292,11 +293,11 @@ func TestOverloadReturns429(t *testing.T) {
 
 func TestDeadlineReturns504(t *testing.T) {
 	eng := testEngine(t)
-	slow := func(queries []int) ([][]float64, error) {
+	slow := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		time.Sleep(100 * time.Millisecond)
-		return eng.Query(queries)
+		return eng.QueryRankInto(ctx, queries, rank, scratch)
 	}
-	sv := serve.New(6, slow, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond})
+	sv := serve.NewRanked(serve.Ranked{N: 6, Query: slow}, serve.Config{Linger: -1, Timeout: 5 * time.Millisecond})
 	defer sv.Close()
 	srv := httptest.NewServer(newMux(testManager(t, eng, sv), sv, nil, "", nil, nil))
 	defer srv.Close()
@@ -353,7 +354,7 @@ func TestTopKCachePath(t *testing.T) {
 func BenchmarkTopKHandler(b *testing.B) {
 	eng := testEngine(b)
 	run := func(b *testing.B, lru *cache.LRU) {
-		sv := serve.New(6, eng.Query, serve.Config{Linger: -1, Cache: lru})
+		sv := serve.NewRanked(serve.Ranked{N: 6, Query: eng.QueryRankInto}, serve.Config{Linger: -1, Cache: lru})
 		defer sv.Close()
 		srv := httptest.NewServer(newMux(testManager(b, eng, sv), sv, lru, "", nil, nil))
 		defer srv.Close()
@@ -438,7 +439,7 @@ func TestAdminReloadAuthAndSwap(t *testing.T) {
 
 func TestReloadOnHUP(t *testing.T) {
 	eng := testEngine(t)
-	sv := serve.NewMat(6, eng.QueryInto, serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 6, Query: eng.QueryRankInto}, serve.Config{Linger: -1})
 	defer sv.Close()
 	man := testManager(t, eng, sv)
 	ch := make(chan os.Signal) // unbuffered: a send returns only once the loop is ready again
@@ -505,7 +506,7 @@ func TestAdminReloadPicksUpNewSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := serve.NewMat(cand.N, cand.Query, serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: cand.N, Query: cand.RankQuery}, serve.Config{Linger: -1})
 	defer sv.Close()
 	man := reload.New(sv, src.loader(), cand.Meta)
 	srv := httptest.NewServer(newMux(man, sv, nil, "sesame", nil, nil))
@@ -548,7 +549,7 @@ func TestHealthzAndReadyz(t *testing.T) {
 // keeps being answered by the old generation.
 func TestReadyzReportsOpenBreaker(t *testing.T) {
 	eng := testEngine(t)
-	sv := serve.NewMat(6, eng.QueryInto, serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 6, Query: eng.QueryRankInto}, serve.Config{Linger: -1})
 	t.Cleanup(sv.Close)
 	man := reload.NewWithPolicy(sv,
 		func(context.Context) (*reload.Candidate, error) { return nil, errTestDown },

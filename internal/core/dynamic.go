@@ -72,12 +72,20 @@ func NewDynamic(g *graph.Graph, ix *Index) (*Dynamic, error) {
 	if ix.u == nil {
 		return nil, fmt.Errorf("core: dynamic maintenance requires the exact factor tier, have %v: %w", ix.Tier(), ErrParams)
 	}
+	// A mapped index's U aliases the snapshot mapping, which the reload
+	// manager unmaps once the boot generation is superseded; the dynamic
+	// state outlives that generation, so it keeps a heap copy (as Shard
+	// does for mapped indexes).
+	u := ix.u
+	if ix.mapped != nil {
+		u = u.Clone()
+	}
 	d := &Dynamic{
 		n:        ix.n,
 		r:        ix.rank,
 		c:        ix.c,
 		weighted: g.Weighted(),
-		u:        ix.u,
+		u:        u,
 		in:       make([][]dynEdge, ix.n),
 		totw:     make([]float64, ix.n),
 	}

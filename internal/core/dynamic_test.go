@@ -335,3 +335,51 @@ func TestDynamicStructureOnlyReplayChargesNoDrift(t *testing.T) {
 		t.Fatalf("drift-counted apply recorded drift %g / %d edges", d.Drift(), d.Edges())
 	}
 }
+
+// TestDynamicOutlivesMappedIndex: the dynamic state built over a mapped
+// index must stay usable after the mapping is closed — the reload
+// manager unmaps the boot snapshot once a rebuild supersedes it, while
+// ingestion keeps applying edges to the same Dynamic. Before NewDynamic
+// copied a mapped U, the ApplyEdge below faulted on the unmapped pages.
+func TestDynamicOutlivesMappedIndex(t *testing.T) {
+	g, ix := fullRankFixture(t, 20, 90, 11)
+	mapped, err := MapIndex(writeV2File(t, ix))
+	if err != nil {
+		if errors.Is(err, errMapUnsupported) {
+			t.Skipf("mmap unavailable here: %v", err)
+		}
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewDynamic(g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Close(); err != nil {
+		t.Fatal(err)
+	}
+	adj := g.Adj()
+	for src := 0; src < g.N(); src++ {
+		dst := (src + 7) % g.N()
+		exists := false
+		for p := adj.RowPtr[src]; p < adj.RowPtr[src+1]; p++ {
+			exists = exists || int(adj.ColIdx[p]) == dst
+		}
+		if exists {
+			continue
+		}
+		got, gotDelta, err := d.ApplyEdge(src, dst, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantDelta, _ := ref.ApplyEdge(src, dst, 1, true)
+		if got != want || math.Float64bits(gotDelta) != math.Float64bits(wantDelta) {
+			t.Fatalf("edge (%d, %d) after Close: applied=%v delta=%g, heap-index state says %v %g", src, dst, got, gotDelta, want, wantDelta)
+		}
+		return
+	}
+	t.Fatal("fixture has no missing edge to apply")
+}

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"csrplus/internal/dense"
 	"csrplus/internal/fault"
 	"csrplus/internal/serve"
 )
@@ -56,28 +55,23 @@ var (
 // all expensive work (index build, snapshot load) happens before the
 // Candidate is returned by a LoadFunc.
 type Candidate struct {
-	// N is the node count Query serves; requests are validated against it
-	// once the candidate becomes the live generation.
+	// N is the node count the candidate serves; requests are validated
+	// against it once the candidate becomes the live generation.
 	N int
-	// Query answers one multi-source pass (csrplus.(*Engine).QueryInto).
-	// Optional when RankQuery is set.
-	Query serve.MatQueryFunc
-	// RankQuery, when set, upgrades the generation to a rank-aware
-	// backend (serve.SwapRanked): context propagation into the engine
-	// pass plus graceful degradation per the server's DegradeConfig.
-	// csrplus.(*Engine).QueryRankInto satisfies it.
+	// RankQuery answers one multi-source pass at a chosen rank, honouring
+	// ctx (csrplus.(*Engine).QueryRankInto). Optional when TopK is set.
 	RankQuery serve.RankQueryFunc
-	// Rank is the engine's full SVD rank (degradation headroom); only
-	// meaningful with RankQuery.
+	// Rank is the engine's full SVD rank (degradation headroom); 0
+	// disables degradation for the generation.
 	Rank int
 	// Bound reports the entrywise error of answering truncated
 	// (csrplus.(*Engine).TruncationBound); only meaningful with RankQuery.
 	Bound func(rank int) float64
 	// TopK, when set, serves Search directly instead of through the
-	// column batcher (shard.Router.TopKTagged over wire slots satisfies
-	// it). A candidate may set TopK with no Query/RankQuery at all —
-	// wire routers have no column path. Scores is its targeted-score
-	// companion (shard.Router.Scores).
+	// batcher (shard.Router.TopKTagged over wire slots satisfies it). A
+	// candidate may set TopK with no RankQuery at all — wire routers have
+	// no n x |Q| pass. Scores is its targeted-score companion
+	// (shard.Router.Scores).
 	TopK   serve.DirectTopKFunc
 	Scores serve.DirectScoreFunc
 	// Drift, when set, reports the generation's live ingestion drift
@@ -403,16 +397,11 @@ func (m *Manager) runOnce(ctx context.Context) (Status, error) {
 		}
 		return m.Current(), err
 	}
-	var gen uint64
-	if cand.RankQuery != nil || cand.TopK != nil {
-		gen = m.server.SwapRanked(serve.Ranked{
-			N: cand.N, Rank: cand.Rank, Bound: cand.Bound,
-			Query: cand.RankQuery, TopK: cand.TopK, Scores: cand.Scores,
-			Drift: cand.Drift,
-		})
-	} else {
-		gen = m.server.SwapMat(cand.N, cand.Query)
-	}
+	gen := m.server.SwapRanked(serve.Ranked{
+		N: cand.N, Rank: cand.Rank, Bound: cand.Bound,
+		Query: cand.RankQuery, TopK: cand.TopK, Scores: cand.Scores,
+		Drift: cand.Drift,
+	})
 	if gen == 0 {
 		if cand.Release != nil {
 			cand.Release()
@@ -452,17 +441,6 @@ func probeNodes(n int) []int {
 	return probes
 }
 
-// smokeQuery runs the candidate's engine once, preferring the rank-aware
-// entry point (at full rank — validation must exercise the path real
-// traffic takes, and degraded serving still derives from the same
-// factors).
-func smokeQuery(c *Candidate, probes []int) (*dense.Mat, error) {
-	if c.RankQuery != nil {
-		return c.RankQuery(context.Background(), probes, 0, nil)
-	}
-	return c.Query(probes, nil)
-}
-
 // Validate smoke-tests a candidate before it may take traffic: the shape
 // must be plausible and a real multi-source query against probe nodes
 // must come back with the right dimensions, finite scores, and a positive
@@ -472,17 +450,19 @@ func smokeQuery(c *Candidate, probes []int) (*dense.Mat, error) {
 // This is the gate that turns "the file parsed" into "the engine
 // answers"; CRC and header checks live below it in core.ReadIndex.
 func Validate(c *Candidate) error {
-	if c == nil || (c.Query == nil && c.RankQuery == nil && c.TopK == nil) {
+	if c == nil || (c.RankQuery == nil && c.TopK == nil) {
 		return fmt.Errorf("%w: no query engine", ErrValidation)
 	}
 	if c.N <= 0 {
 		return fmt.Errorf("%w: implausible node count %d", ErrValidation, c.N)
 	}
 	probes := probeNodes(c.N)
-	if c.Query == nil && c.RankQuery == nil {
+	if c.RankQuery == nil {
 		return validateDirect(c, probes)
 	}
-	mat, err := smokeQuery(c, probes)
+	// Smoke at full rank: validation must exercise the path real traffic
+	// takes, and degraded serving derives from the same factors.
+	mat, err := c.RankQuery(context.Background(), probes, 0, nil)
 	if err != nil {
 		return fmt.Errorf("%w: smoke query: %v", ErrValidation, err)
 	}

@@ -16,8 +16,8 @@ import (
 
 // fakeEngine answers multi-source passes with score gen + i/(2n) for node
 // i, mirroring the generation-encoded engines of the serve swap tests.
-func fakeEngine(n int, gen uint64) serve.MatQueryFunc {
-	return func(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
+func fakeEngine(n int, gen uint64) serve.RankQueryFunc {
+	return func(_ context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
 		m := scratch.Reuse(n, len(queries))
 		for j := range queries {
 			for i := 0; i < n; i++ {
@@ -30,16 +30,16 @@ func fakeEngine(n int, gen uint64) serve.MatQueryFunc {
 
 func candidate(n int, gen uint64) *Candidate {
 	return &Candidate{
-		N:     n,
-		Query: fakeEngine(n, gen),
-		Meta:  Meta{Source: "rebuild", Algorithm: "fake", N: n, M: int64(n), Rank: 3},
+		N:         n,
+		RankQuery: fakeEngine(n, gen),
+		Meta:      Meta{Source: "rebuild", Algorithm: "fake", N: n, M: int64(n), Rank: 3},
 	}
 }
 
 func newManager(t *testing.T, n int) (*Manager, *serve.Server, *uint64) {
 	t.Helper()
 	gen := uint64(1)
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{Linger: -1})
 	t.Cleanup(sv.Close)
 	load := func(ctx context.Context) (*Candidate, error) {
 		return candidate(n, gen), nil
@@ -91,7 +91,7 @@ func TestManagerReloadSwapsGeneration(t *testing.T) {
 var noRetry = Policy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
 
 func TestManagerLoadFailureKeepsServing(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	boom := errors.New("disk on fire")
 	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) { return nil, boom }, Meta{Source: "boot"}, noRetry)
@@ -117,17 +117,17 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 	bad := map[string]*Candidate{
 		"nil candidate":  nil,
 		"no engine":      {N: 8},
-		"non-positive n": {N: 0, Query: fakeEngine(8, 2)},
-		"query error": {N: 8, Query: func([]int, *dense.Mat) (*dense.Mat, error) {
+		"non-positive n": {N: 0, RankQuery: fakeEngine(8, 2)},
+		"query error": {N: 8, RankQuery: func(context.Context, []int, int, *dense.Mat) (*dense.Mat, error) {
 			return nil, errors.New("broken index")
 		}},
-		"wrong shape": {N: 8, Query: fakeEngine(4, 2)},
-		"nan scores": {N: 8, Query: func(q []int, s *dense.Mat) (*dense.Mat, error) {
+		"wrong shape": {N: 8, RankQuery: fakeEngine(4, 2)},
+		"nan scores": {N: 8, RankQuery: func(_ context.Context, q []int, _ int, s *dense.Mat) (*dense.Mat, error) {
 			m := s.Reuse(8, len(q))
 			m.Set(3, 0, math.NaN())
 			return m, nil
 		}},
-		"zero self-similarity": {N: 8, Query: func(q []int, s *dense.Mat) (*dense.Mat, error) {
+		"zero self-similarity": {N: 8, RankQuery: func(_ context.Context, q []int, _ int, s *dense.Mat) (*dense.Mat, error) {
 			m := s.Reuse(8, len(q))
 			return m, nil // all-zero matrix: diagonal violates the floor
 		}},
@@ -135,7 +135,7 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 	for name, cand := range bad {
 		cand := cand
 		t.Run(name, func(t *testing.T) {
-			sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+			sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 			defer sv.Close()
 			m := NewWithPolicy(sv, func(context.Context) (*Candidate, error) { return cand, nil }, Meta{}, noRetry)
 			st, err := m.Reload(context.Background())
@@ -156,7 +156,7 @@ func TestManagerValidationFailureKeepsServing(t *testing.T) {
 // ErrCoalesced immediately and the in-flight reload runs the lifecycle
 // once more before releasing the lock.
 func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	entered := make(chan struct{}, 4)
@@ -194,7 +194,7 @@ func TestManagerConcurrentReloadsCoalesce(t *testing.T) {
 // A failing lifecycle pass must be retried with backoff inside one Reload
 // call — transient I/O clears, the operator never sees it.
 func TestManagerRetriesTransientFailure(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	m := NewWithPolicy(sv, func(ctx context.Context) (*Candidate, error) {
@@ -222,7 +222,7 @@ func TestManagerRetriesTransientFailure(t *testing.T) {
 // load attempt until the cooldown elapses, then one probe run closes it
 // again on success.
 func TestManagerBreakerOpensAndRecovers(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	var calls atomic.Int32
 	var healthy atomic.Bool
@@ -274,7 +274,7 @@ func TestManagerBreakerOpensAndRecovers(t *testing.T) {
 // degradation works after the swap.
 func TestManagerRankedCandidateSwap(t *testing.T) {
 	const n, fullRank = 8, 6
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{
 		Linger:  -1,
 		Degrade: serve.DegradeConfig{Rank: 2, MinBudget: time.Hour},
 	})
@@ -317,7 +317,7 @@ func TestManagerRankedCandidateSwap(t *testing.T) {
 }
 
 func TestManagerReloadAfterServerClose(t *testing.T) {
-	sv := serve.NewMat(8, fakeEngine(8, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 8, Query: fakeEngine(8, 1)}, serve.Config{Linger: -1})
 	m := New(sv, func(context.Context) (*Candidate, error) { return candidate(8, 2), nil }, Meta{})
 	sv.Close()
 	if _, err := m.Reload(context.Background()); !errors.Is(err, serve.ErrClosed) {
@@ -331,7 +331,7 @@ func TestManagerReloadUnderTraffic(t *testing.T) {
 	const n = 32
 	var mu sync.Mutex
 	next := uint64(1)
-	sv := serve.NewMat(n, fakeEngine(n, 1), serve.Config{
+	sv := serve.NewRanked(serve.Ranked{N: n, Query: fakeEngine(n, 1)}, serve.Config{
 		Linger: 100 * time.Microsecond, MaxPending: 1 << 14,
 	})
 	defer sv.Close()
@@ -389,7 +389,7 @@ func TestValidateProbeNodes(t *testing.T) {
 }
 
 func ExampleManager() {
-	sv := serve.NewMat(4, fakeEngine(4, 1), serve.Config{Linger: -1})
+	sv := serve.NewRanked(serve.Ranked{N: 4, Query: fakeEngine(4, 1)}, serve.Config{Linger: -1})
 	defer sv.Close()
 	m := New(sv, func(context.Context) (*Candidate, error) { return candidate(4, 2), nil },
 		Meta{Source: "boot"})

@@ -2,34 +2,34 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"csrplus/internal/dense"
 	"csrplus/internal/fault"
+	"csrplus/internal/topk"
 )
 
-// QueryFunc answers one multi-source engine pass: cols[j] is the full
-// similarity column of queries[j]. csrplus.(*Engine).Query satisfies it.
-type QueryFunc func(queries []int) ([][]float64, error)
-
-// batchQueryFunc is the batcher's internal engine signature: one
-// multi-source pass at a chosen rank (0 = full), honouring ctx so an
-// abandoned batch can stop mid-pass. The public QueryFunc / MatQueryFunc /
-// RankQueryFunc flavours are all adapted onto it.
-type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]float64, error)
-
-// Batcher coalesces concurrent column requests into multi-source engine
-// calls. The paper's complexity bound O(r(m + n(r + |Q|))) makes the
-// marginal cost of one more query node tiny next to the per-call
-// O(r(m + nr)) floor, so |Q| requests answered by one pass cost far less
-// than |Q| passes — the same economics as dynamic batching in inference
-// serving. A pending batch flushes when it reaches maxBatch unique nodes,
-// when a pool worker is idle (waiting longer would add latency without
-// improving throughput), or — with every worker busy — when the linger
-// window expires. Duplicate nodes across co-batched requests are computed
-// once and shared.
+// batcher coalesces concurrent requests into multi-source engine calls
+// and answers each of them straight from the pass's pooled result. The
+// paper's complexity bound O(r(m + n(r + |Q|))) makes the marginal cost
+// of one more query node tiny next to the per-call O(r(m + nr)) floor,
+// so |Q| requests answered by one pass cost far less than |Q| passes —
+// the same economics as dynamic batching in inference serving. A pending
+// batch flushes when it reaches maxBatch unique nodes, when a pool
+// worker is idle (waiting longer would add latency without improving
+// throughput), or — with every worker busy — when the linger window
+// expires. Duplicate nodes across co-batched requests are computed once
+// and shared.
+//
+// Each in-flight batch borrows one n x |Q| scratch matrix from a
+// sync.Pool, the engine pass writes [S]_{*,Q} into it, and the worker
+// answers every co-batched request in one row-major pass over it (see
+// answer) before returning it to the pool: no per-column copies and no
+// per-request O(n) buffers.
 //
 // When a degraded rank is configured, a batch runs truncated — trading
 // accuracy bounded by the factor tail for an r'/r cost reduction — if any
@@ -38,8 +38,9 @@ type batchQueryFunc func(ctx context.Context, queries []int, rank int) ([][]floa
 // (queue depth past the threshold, or requests shed since the last
 // batch). The effective rank travels back with every response so callers
 // can tag what they served.
-type Batcher struct {
-	queryFn  batchQueryFunc
+type batcher struct {
+	queryFn  RankQueryFunc // nil: the backend serves through direct funcs only
+	scratch  sync.Pool     // *dense.Mat, one per in-flight batch
 	maxBatch int
 	linger   time.Duration
 	strict   bool
@@ -57,39 +58,39 @@ type Batcher struct {
 	once   sync.Once
 }
 
+// request is one caller's question to a batch: the k best nodes by
+// summed similarity to nodes (k > 0), or the score of every (node,
+// target) pair (k == 0).
 type request struct {
 	ctx     context.Context
 	nodes   []int
+	k       int
+	targets []int
 	degrade bool          // admission-time vote to answer truncated
 	out     chan response // buffered(1): abandoned callers never block a worker
 }
 
 type response struct {
-	cols map[int][]float64
-	rank int // effective rank of the answering pass; 0 = full
-	err  error
+	matches []Match
+	pairs   []Pair
+	rank    int // effective rank of the answering pass; 0 = full
+	err     error
 }
 
-// NewBatcher starts the dispatch loop and worker pool over a plain
-// QueryFunc engine (always full rank; the engine is only consulted after
-// a context check). maxBatch is the most unique nodes per engine call — a
-// request that would push a batch past it is left to seed the next batch,
-// so the bound holds whenever no single request alone exceeds it
-// (requests are indivisible: one whose own node set tops maxBatch forms
-// its own oversized batch). linger is the longest a request waits for
+// newBatcher starts the dispatch loop and worker pool over a rank-aware
+// engine. maxBatch is the most unique nodes per engine call — a request
+// that would push a batch past it is left to seed the next batch, so the
+// bound holds whenever no single request alone exceeds it (requests are
+// indivisible: one whose own node set tops maxBatch forms its own
+// oversized batch). linger is the longest a request waits for
 // co-batching (0 batches only what is already queued), maxPending the
 // admission bound beyond which requests are shed, workers the concurrent
 // engine calls. strict disables the idle-worker eager flush: partial
 // batches always wait for the size or linger trigger, maximising batch
-// occupancy (throughput) at the cost of light-load latency.
-func NewBatcher(queryFn QueryFunc, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics) *Batcher {
-	return newBatcher(wrapQuery(queryFn), maxBatch, linger, maxPending, workers, strict, m, 0, 0)
-}
-
-// newBatcher is the full-control constructor used by Server: degradedRank
+// occupancy (throughput) at the cost of light-load latency. degradedRank
 // and overloadDepth wire the graceful-degradation policy (both 0 for
 // backends without rank structure).
-func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics, degradedRank int, overloadDepth int64) *Batcher {
+func newBatcher(queryFn RankQueryFunc, maxBatch int, linger time.Duration, maxPending, workers int, strict bool, m *Metrics, degradedRank int, overloadDepth int64) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -99,7 +100,7 @@ func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxP
 	if m == nil {
 		m = NewMetrics()
 	}
-	b := &Batcher{
+	b := &batcher{
 		queryFn:       queryFn,
 		maxBatch:      maxBatch,
 		linger:        linger,
@@ -115,24 +116,15 @@ func newBatcher(queryFn batchQueryFunc, maxBatch int, linger time.Duration, maxP
 	return b
 }
 
-// Columns returns the similarity column of every requested node, batched
-// with whatever else is in flight. The returned map is shared read-only
-// across co-batched callers. Fails fast with ErrOverloaded when the
-// admission queue is full, ErrClosed after Close, and ctx.Err() when the
-// caller's deadline expires before the batch completes.
-func (b *Batcher) Columns(ctx context.Context, nodes []int) (map[int][]float64, error) {
-	cols, _, err := b.ColumnsDegrade(ctx, nodes, false)
-	return cols, err
-}
-
-// ColumnsDegrade is Columns with a degradation vote: degrade asks the
-// answering batch to run at the truncated rank. The returned rank is the
-// effective rank of the pass that answered (0 = full) — it can be
-// truncated even when this caller did not ask (overload pressure, or a
-// co-batched caller's vote), and full when it did (degradation not
-// configured on this backend).
-func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool) (map[int][]float64, int, error) {
-	req := &request{ctx: ctx, nodes: nodes, degrade: degrade, out: make(chan response, 1)}
+// submit admits req and waits for the batch that answers it. Fails fast
+// with ErrOverloaded when the admission queue is full, ErrClosed after
+// Close, and ctx.Err() when the caller's deadline expires before the
+// batch completes. The response's rank is the effective rank of the pass
+// that answered (0 = full) — it can be truncated even when this caller
+// did not vote to degrade (overload pressure, or a co-batched caller's
+// vote), and full when it did (degradation not configured).
+func (b *batcher) submit(req *request) response {
+	req.out = make(chan response, 1)
 
 	// The read-lock spans only the non-blocking enqueue, so Close's write
 	// lock cannot be acquired mid-send: after Close sets closed, no sender
@@ -141,7 +133,7 @@ func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool)
 	if b.closed {
 		b.mu.RUnlock()
 		b.metrics.rejected.Add(1)
-		return nil, 0, ErrClosed
+		return response{err: ErrClosed}
 	}
 	select {
 	case b.queue <- req:
@@ -151,21 +143,21 @@ func (b *Batcher) ColumnsDegrade(ctx context.Context, nodes []int, degrade bool)
 	default:
 		b.mu.RUnlock()
 		b.metrics.shed.Add(1)
-		return nil, 0, ErrOverloaded
+		return response{err: ErrOverloaded}
 	}
 
 	select {
 	case resp := <-req.out:
-		return resp.cols, resp.rank, resp.err
-	case <-ctx.Done():
+		return resp
+	case <-req.ctx.Done():
 		b.metrics.expired.Add(1)
-		return nil, 0, ctx.Err()
+		return response{err: req.ctx.Err()}
 	}
 }
 
 // Close stops admission, flushes every pending request, waits for
 // in-flight batches to finish, and returns. Idempotent.
-func (b *Batcher) Close() {
+func (b *batcher) Close() {
 	b.once.Do(func() {
 		b.mu.Lock()
 		b.closed = true
@@ -178,7 +170,7 @@ func (b *Batcher) Close() {
 
 // run is the dispatch loop: it accumulates requests, tracking the unique
 // node set, and flushes to the worker pool on size or linger triggers.
-func (b *Batcher) run() {
+func (b *batcher) run() {
 	defer close(b.done)
 	var (
 		pending []*request
@@ -282,7 +274,7 @@ func (b *Batcher) run() {
 // answering cheap beats answering exact: the admission queue is past the
 // configured depth, or requests were shed since the last batch (the queue
 // hit its hard bound — the strongest possible signal).
-func (b *Batcher) overloaded() bool {
+func (b *batcher) overloaded() bool {
 	if b.overloadDepth <= 0 {
 		return false
 	}
@@ -318,9 +310,9 @@ func batchContext(reqs []*request) (context.Context, func()) {
 	}
 }
 
-// runBatch executes one coalesced engine call on a pool worker and fans
-// the shared column map back out to every caller.
-func (b *Batcher) runBatch(reqs []*request) {
+// runBatch executes one coalesced engine call on a pool worker and
+// answers every live caller from its result.
+func (b *batcher) runBatch(reqs []*request) {
 	defer b.metrics.queueDepth.Add(-int64(len(reqs)))
 
 	// Skip requests whose caller has already given up; don't waste an
@@ -361,9 +353,9 @@ func (b *Batcher) runBatch(reqs []*request) {
 
 	ctx, release := batchContext(live)
 	err := fault.Hit(fault.SiteBatchQuery) // chaos builds: engine-level latency/failure
-	var cols [][]float64
+	var s *dense.Mat
 	if err == nil {
-		cols, err = b.queryFn(ctx, nodes, rank)
+		s, err = b.pass(ctx, nodes, rank)
 	}
 	release()
 	if err != nil {
@@ -372,11 +364,99 @@ func (b *Batcher) runBatch(reqs []*request) {
 		}
 		return
 	}
-	byNode := make(map[int][]float64, len(nodes))
-	for j, n := range nodes {
-		byNode[n] = cols[j]
+	for i, resp := range answer(s, nodes, live) {
+		resp.rank = rank
+		live[i].out <- resp
 	}
-	for _, req := range live {
-		req.out <- response{cols: byNode, rank: rank}
+	b.scratch.Put(s) // every answer is built; the matrix is free for the next batch
+}
+
+// pass runs the engine over nodes into a pooled scratch matrix. The
+// caller returns the result to b.scratch once it has answered from it.
+func (b *batcher) pass(ctx context.Context, nodes []int, rank int) (*dense.Mat, error) {
+	if b.queryFn == nil {
+		// Wire routers never materialise n x |Q| columns: a request that
+		// reaches the batcher there is a caller error, not a missing
+		// feature.
+		return nil, fmt.Errorf("%w: this backend serves top-k and targeted scores only (no column path)", ErrBadRequest)
 	}
+	if fault.ShouldFailAlloc(fault.SiteScratchAlloc) {
+		return nil, fault.ErrAllocFailed
+	}
+	scratch, _ := b.scratch.Get().(*dense.Mat)
+	s, err := b.queryFn(ctx, nodes, rank, scratch)
+	if err != nil {
+		if scratch != nil {
+			b.scratch.Put(scratch)
+		}
+		return nil, err
+	}
+	return s, nil // s is scratch when it had capacity, else its grown replacement
+}
+
+// answer serves every request of one batch from the engine pass's
+// n x |nodes| matrix s (column j scores nodes[j]), returning one response
+// per request in order. Top-k requests are answered in one row-major
+// pass: each row is read once, and every top-k request sums its own
+// columns of that row in its own query order — duplicates counted twice,
+// accumulated onto zero, a single query taken as is — which is exactly
+// the per-node aggregate of summing whole columns in query order, so
+// the scores are bitwise those of a column-at-a-time reduce. The sum
+// goes straight into the request's bounded top-k accumulator with every
+// query node excluded. Pair requests read their (target, query) entries
+// directly.
+func answer(s *dense.Mat, nodes []int, reqs []*request) []response {
+	type topReq struct {
+		i    int   // the request's index in reqs
+		cols []int // columns of the request's nodes, in query order
+		acc  *topk.Acc
+	}
+	out := make([]response, len(reqs))
+	tops := make([]topReq, 0, len(reqs))
+	for i, req := range reqs {
+		cols := make([]int, len(req.nodes))
+		for c, q := range req.nodes {
+			cols[c] = sort.SearchInts(nodes, q) // nodes is sorted and holds q
+		}
+		if req.k == 0 {
+			out[i].pairs = pairs(s, req.nodes, cols, req.targets)
+			continue
+		}
+		exclude := make(map[int]bool, len(req.nodes))
+		for _, q := range req.nodes {
+			exclude[q] = true
+		}
+		tops = append(tops, topReq{i: i, cols: cols, acc: topk.NewAcc(req.k, exclude)})
+	}
+	w := s.Cols
+	for r := 0; len(tops) > 0 && r < s.Rows; r++ {
+		row := s.Data[r*w : r*w+w]
+		for _, t := range tops {
+			var score float64
+			if len(t.cols) == 1 {
+				score = row[t.cols[0]]
+			} else {
+				for _, c := range t.cols {
+					score += row[c]
+				}
+			}
+			t.acc.Push(r, score)
+		}
+	}
+	for _, t := range tops {
+		out[t.i].matches = toMatches(t.acc.Items())
+	}
+	return out
+}
+
+// pairs reads the score of every (query, target) pair out of s, in
+// query-major order; cols[i] is the column of queries[i].
+func pairs(s *dense.Mat, queries, cols, targets []int) []Pair {
+	out := make([]Pair, 0, len(queries)*len(targets))
+	for i, q := range queries {
+		for _, t := range targets {
+			out = append(out, Pair{Query: q, Target: t, Score: s.At(t, cols[i])})
+		}
+	}
+	return out
 }

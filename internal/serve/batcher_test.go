@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"csrplus/internal/dense"
 )
 
 // fakeEngine counts calls and returns recognisable columns: column of
@@ -19,7 +21,7 @@ type fakeEngine struct {
 	err   error
 }
 
-func (f *fakeEngine) query(queries []int) ([][]float64, error) {
+func (f *fakeEngine) query(ctx context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
 	f.calls.Add(1)
 	if f.gate != nil {
 		<-f.gate
@@ -30,22 +32,34 @@ func (f *fakeEngine) query(queries []int) ([][]float64, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	out := make([][]float64, len(queries))
+	m := scratch.Reuse(f.n, len(queries))
 	for j, q := range queries {
-		col := make([]float64, f.n)
-		for i := range col {
-			col[i] = float64(q)
+		for i := 0; i < f.n; i++ {
+			m.Set(i, j, float64(q))
 		}
-		out[j] = col
 	}
-	return out, nil
+	return m, nil
+}
+
+// ask submits a score request for target 0 against every node and
+// returns the scores in node order.
+func ask(b *batcher, ctx context.Context, nodes []int) ([]float64, error) {
+	resp := b.submit(&request{ctx: ctx, nodes: nodes, targets: []int{0}})
+	if resp.err != nil {
+		return nil, resp.err
+	}
+	scores := make([]float64, len(resp.pairs))
+	for i, p := range resp.pairs {
+		scores[i] = p.Score
+	}
+	return scores, nil
 }
 
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	// The 1ms engine keeps both workers busy, so later arrivals pile into
 	// shared batches instead of each flushing to an idle worker.
 	eng := &fakeEngine{n: 64, delay: time.Millisecond}
-	b := NewBatcher(eng.query, 64, 20*time.Millisecond, 256, 2, false, NewMetrics())
+	b := newBatcher(eng.query, 64, 20*time.Millisecond, 256, 2, false, NewMetrics(), 0, 0)
 	defer b.Close()
 
 	const clients = 24
@@ -57,12 +71,12 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			cols, err := b.Columns(context.Background(), []int{i % 8})
+			scores, err := ask(b, context.Background(), []int{i % 8})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if got := cols[i%8][0]; got != float64(i%8) {
+			if got := scores[0]; got != float64(i%8) {
 				errs[i] = errors.New("wrong column content")
 			}
 		}(i)
@@ -83,13 +97,13 @@ func TestBatcherDedupesNodesWithinBatch(t *testing.T) {
 	var mu sync.Mutex
 	var widths []int
 	eng := &fakeEngine{n: 16}
-	counting := func(queries []int) ([][]float64, error) {
+	counting := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		mu.Lock()
 		widths = append(widths, len(queries))
 		mu.Unlock()
-		return eng.query(queries)
+		return eng.query(ctx, queries, rank, scratch)
 	}
-	b := NewBatcher(counting, 64, 20*time.Millisecond, 256, 1, false, NewMetrics())
+	b := newBatcher(counting, 64, 20*time.Millisecond, 256, 1, false, NewMetrics(), 0, 0)
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -99,7 +113,7 @@ func TestBatcherDedupesNodesWithinBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := b.Columns(context.Background(), []int{7}); err != nil {
+			if _, err := ask(b, context.Background(), []int{7}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -120,7 +134,7 @@ func TestBatcherFlushesOnMaxBatch(t *testing.T) {
 	// Huge linger: only the size trigger can flush. Every request carries
 	// maxBatch distinct nodes, so each absorption crosses the threshold
 	// and the timer path is never taken.
-	b := NewBatcher(eng.query, 4, time.Hour, 256, 2, false, NewMetrics())
+	b := newBatcher(eng.query, 4, time.Hour, 256, 2, false, NewMetrics(), 0, 0)
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -129,7 +143,7 @@ func TestBatcherFlushesOnMaxBatch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			nodes := []int{4 * i, 4*i + 1, 4*i + 2, 4*i + 3}
-			if _, err := b.Columns(context.Background(), nodes); err != nil {
+			if _, err := ask(b, context.Background(), nodes); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -147,11 +161,11 @@ func TestBatcherFlushesIdleWorkerImmediately(t *testing.T) {
 	eng := &fakeEngine{n: 8}
 	// maxBatch and linger both huge: with an idle worker, a lone request
 	// must still flush immediately instead of waiting out the linger.
-	b := NewBatcher(eng.query, 1024, time.Hour, 256, 1, false, NewMetrics())
+	b := newBatcher(eng.query, 1024, time.Hour, 256, 1, false, NewMetrics(), 0, 0)
 	defer b.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.Columns(context.Background(), []int{3})
+		_, err := ask(b, context.Background(), []int{3})
 		done <- err
 	}()
 	select {
@@ -168,12 +182,12 @@ func TestBatcherLingerFlushesWhileWorkersBusy(t *testing.T) {
 	m := NewMetrics()
 	gate := make(chan struct{})
 	eng := &fakeEngine{n: 16, gate: gate}
-	b := NewBatcher(eng.query, 1024, 5*time.Millisecond, 64, 1, false, m)
+	b := newBatcher(eng.query, 1024, 5*time.Millisecond, 64, 1, false, m, 0, 0)
 
 	results := make(chan error, 3)
 	launch := func(node int) {
 		go func() {
-			_, err := b.Columns(context.Background(), []int{node})
+			_, err := ask(b, context.Background(), []int{node})
 			results <- err
 		}()
 	}
@@ -204,16 +218,16 @@ func TestBatcherStrictLingerCoalescesDespiteIdleWorkers(t *testing.T) {
 	var mu sync.Mutex
 	var widths []int
 	eng := &fakeEngine{n: 16}
-	counting := func(queries []int) ([][]float64, error) {
+	counting := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		mu.Lock()
 		widths = append(widths, len(queries))
 		mu.Unlock()
-		return eng.query(queries)
+		return eng.query(ctx, queries, rank, scratch)
 	}
 	// Strict mode with 4 idle workers: requests must still wait for the
 	// size trigger (maxBatch 4), producing one full-width call where the
 	// eager policy would have flushed up to 4 singleton batches.
-	b := NewBatcher(counting, 4, time.Minute, 64, 4, true, NewMetrics())
+	b := newBatcher(counting, 4, time.Minute, 64, 4, true, NewMetrics(), 0, 0)
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -221,7 +235,7 @@ func TestBatcherStrictLingerCoalescesDespiteIdleWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.Columns(context.Background(), []int{i}); err != nil {
+			if _, err := ask(b, context.Background(), []int{i}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -245,13 +259,13 @@ func TestBatcherNeverExceedsMaxBatch(t *testing.T) {
 	var widths []int
 	gate := make(chan struct{})
 	eng := &fakeEngine{n: 64, gate: gate}
-	counting := func(queries []int) ([][]float64, error) {
+	counting := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		mu.Lock()
 		widths = append(widths, len(queries))
 		mu.Unlock()
-		return eng.query(queries)
+		return eng.query(ctx, queries, rank, scratch)
 	}
-	b := NewBatcher(counting, maxBatch, 5*time.Millisecond, 64, 1, true, NewMetrics())
+	b := newBatcher(counting, maxBatch, 5*time.Millisecond, 64, 1, true, NewMetrics(), 0, 0)
 	defer b.Close()
 
 	// Gate the single worker so requests pile up in the queue, forcing the
@@ -264,7 +278,7 @@ func TestBatcherNeverExceedsMaxBatch(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			nodes := []int{3 * i, 3*i + 1, 3*i + 2} // disjoint trios
-			_, errs[i] = b.Columns(context.Background(), nodes)
+			_, errs[i] = ask(b, context.Background(), nodes)
 		}(i)
 	}
 	waitFor(t, func() bool { return b.metrics.Admitted() == clients })
@@ -289,14 +303,19 @@ func TestBatcherNeverExceedsMaxBatch(t *testing.T) {
 // served, as its own oversized batch, rather than deadlock.
 func TestBatcherOversizedSingleRequest(t *testing.T) {
 	eng := &fakeEngine{n: 64}
-	b := NewBatcher(eng.query, 2, time.Millisecond, 8, 1, false, NewMetrics())
+	b := newBatcher(eng.query, 2, time.Millisecond, 8, 1, false, NewMetrics(), 0, 0)
 	defer b.Close()
-	cols, err := b.Columns(context.Background(), []int{1, 2, 3, 4, 5})
+	scores, err := ask(b, context.Background(), []int{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 5 {
-		t.Fatalf("got %d columns, want 5", len(cols))
+	if len(scores) != 5 {
+		t.Fatalf("got %d scores, want 5", len(scores))
+	}
+	for i, v := range scores {
+		if v != float64(i+1) {
+			t.Fatalf("scores = %v, want node i's column at position i", scores)
+		}
 	}
 }
 
@@ -304,12 +323,12 @@ func TestBatcherOverload(t *testing.T) {
 	m := NewMetrics()
 	gate := make(chan struct{})
 	eng := &fakeEngine{n: 8, gate: gate}
-	b := NewBatcher(eng.query, 1, 0, 1, 1, false, m)
+	b := newBatcher(eng.query, 1, 0, 1, 1, false, m, 0, 0)
 
 	results := make(chan error, 8)
 	launch := func(node int) {
 		go func() {
-			_, err := b.Columns(context.Background(), []int{node})
+			_, err := ask(b, context.Background(), []int{node})
 			results <- err
 		}()
 	}
@@ -348,16 +367,16 @@ func TestBatcherDeadline(t *testing.T) {
 	m := NewMetrics()
 	gate := make(chan struct{})
 	eng := &fakeEngine{n: 8, gate: gate}
-	b := NewBatcher(eng.query, 1, 0, 8, 1, false, m)
+	b := newBatcher(eng.query, 1, 0, 8, 1, false, m, 0, 0)
 	defer func() { close(gate); b.Close() }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	// Occupy the only worker so the deadline fires while queued/batched.
-	go func() { _, _ = b.Columns(context.Background(), []int{0}) }()
+	go func() { _, _ = ask(b, context.Background(), []int{0}) }()
 	waitFor(t, func() bool { return eng.calls.Load() == 1 })
 
-	_, err := b.Columns(ctx, []int{1})
+	_, err := ask(b, ctx, []int{1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -369,23 +388,23 @@ func TestBatcherDeadline(t *testing.T) {
 func TestBatcherPropagatesEngineError(t *testing.T) {
 	boom := errors.New("boom")
 	eng := &fakeEngine{n: 8, err: boom}
-	b := NewBatcher(eng.query, 8, 0, 8, 1, false, NewMetrics())
+	b := newBatcher(eng.query, 8, 0, 8, 1, false, NewMetrics(), 0, 0)
 	defer b.Close()
-	if _, err := b.Columns(context.Background(), []int{0}); !errors.Is(err, boom) {
+	if _, err := ask(b, context.Background(), []int{0}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
 
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	eng := &fakeEngine{n: 8, delay: 5 * time.Millisecond}
-	b := NewBatcher(eng.query, 64, 50*time.Millisecond, 256, 2, false, NewMetrics())
+	b := newBatcher(eng.query, 64, 50*time.Millisecond, 256, 2, false, NewMetrics(), 0, 0)
 
 	// In-flight requests admitted before Close must still be answered.
 	const clients = 8
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		go func(i int) {
-			_, err := b.Columns(context.Background(), []int{i})
+			_, err := ask(b, context.Background(), []int{i})
 			errs <- err
 		}(i)
 	}
@@ -397,7 +416,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 			t.Fatalf("pre-close request failed: %v", err)
 		}
 	}
-	if _, err := b.Columns(context.Background(), []int{0}); !errors.Is(err, ErrClosed) {
+	if _, err := ask(b, context.Background(), []int{0}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent

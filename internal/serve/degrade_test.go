@@ -109,13 +109,9 @@ func TestDegradeDisabledWithoutRankStructure(t *testing.T) {
 		t.Fatalf("degraded with nothing to truncate: %+v", res.Info)
 	}
 
-	plain := New(16, func(queries []int) ([][]float64, error) {
-		cols := make([][]float64, len(queries))
-		for j := range cols {
-			cols[j] = make([]float64, 16)
-		}
-		return cols, nil
-	}, Config{Linger: -1, Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
+	plain := NewRanked(Ranked{N: 16, Query: func(_ context.Context, queries []int, _ int, _ *dense.Mat) (*dense.Mat, error) {
+		return dense.NewMat(16, len(queries)), nil
+	}}, Config{Linger: -1, Degrade: DegradeConfig{Rank: 2, MinBudget: time.Hour}})
 	defer plain.Close()
 	res, err = plain.Search(ctxShort, []int{3}, 2)
 	if err != nil {
@@ -165,7 +161,7 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 // threshold, or any shed since the last batch.
 func TestBatcherOverloadSignal(t *testing.T) {
 	m := NewMetrics()
-	b := newBatcher(func(context.Context, []int, int) ([][]float64, error) { return nil, nil },
+	b := newBatcher(nil,
 		1, 0, 4, 1, false, m, 2, 3)
 	defer b.Close()
 
@@ -185,7 +181,7 @@ func TestBatcherOverloadSignal(t *testing.T) {
 		t.Fatal("stale shed still counts as overload")
 	}
 
-	off := newBatcher(func(context.Context, []int, int) ([][]float64, error) { return nil, nil },
+	off := newBatcher(nil,
 		1, 0, 4, 1, false, m, 0, 0)
 	defer off.Close()
 	m.queueDepth.Store(100)

@@ -38,7 +38,6 @@ import (
 
 	"csrplus/internal/cache"
 	"csrplus/internal/dense"
-	"csrplus/internal/fault"
 	"csrplus/internal/topk"
 )
 
@@ -53,8 +52,8 @@ const DefaultMaxK = 1000
 const DefaultDegradeQueueFraction = 0.75
 
 // DegradeConfig tunes graceful degradation. It only takes effect on
-// backends installed with SwapRanked/NewRanked (plain QueryFunc backends
-// have no rank to truncate).
+// engines with rank structure (Ranked.Rank > 0; a rankless backend has
+// nothing to truncate).
 type DegradeConfig struct {
 	// Rank is the truncated rank served under pressure. 0 disables
 	// degradation; values >= the engine's full rank also disable it
@@ -197,7 +196,7 @@ type backend struct {
 	rank         int               // engine's full rank; 0 = no rank structure
 	degradedRank int               // rank served under pressure; 0 = degradation off
 	bound        func(int) float64 // entrywise truncation bound; never nil
-	batcher      *Batcher
+	batcher      *batcher
 	topkFn       DirectTopKFunc  // non-nil routes Search around the batcher
 	scoresFn     DirectScoreFunc // non-nil routes Score around the batcher
 	drift        DriftFunc       // non-nil taints answers with ingestion drift
@@ -223,30 +222,6 @@ type Server struct {
 	closed bool       // guarded by swapMu
 }
 
-// New builds a Server over a graph of n nodes whose columns are produced
-// by queryFn (normally csrplus.(*Engine).Query). The engine becomes
-// generation 1; Swap installs successors.
-func New(n int, queryFn QueryFunc, cfg Config) *Server {
-	s := newServer(cfg)
-	s.Swap(n, queryFn)
-	return s
-}
-
-func newServer(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	m := NewMetrics()
-	if cfg.Cache != nil {
-		cfg.Cache.SetRecorder(m)
-	}
-	return &Server{cfg: cfg, metrics: m}
-}
-
-// MatQueryFunc answers one multi-source engine pass into a reusable
-// scratch matrix: the n x |Q| result reuses scratch's backing array when
-// its capacity suffices (nil scratch allocates) and is returned.
-// csrplus.(*Engine).QueryInto satisfies it.
-type MatQueryFunc func(queries []int, scratch *dense.Mat) (*dense.Mat, error)
-
 // RankQueryFunc answers one multi-source engine pass at a chosen rank
 // (0 or >= the engine's rank = full), honouring ctx between row bands so
 // an abandoned batch stops consuming its worker mid-pass.
@@ -267,7 +242,7 @@ type TopKProvenance struct {
 }
 
 // DirectTopKFunc answers a top-k request in one call, bypassing the
-// column batcher — the contract a scatter–gather router satisfies
+// batcher — the contract a scatter–gather router satisfies
 // (shard.Router.TopKTagged): shards return rank-limited partial top-k
 // lists and the router merges them exactly, so no n x |Q| matrix ever
 // materialises and the batcher's coalescing economics don't apply.
@@ -281,8 +256,10 @@ type DirectTopKFunc func(ctx context.Context, queries []int, k, rank int) ([]top
 // missing shards fail the call.
 type DirectScoreFunc func(ctx context.Context, queries, targets []int, rank int) (*dense.Mat, error)
 
-// Ranked describes an engine generation with rank structure — the full
-// contract graceful degradation needs.
+// Ranked describes one engine generation: the node count it serves, its
+// rank structure (the contract graceful degradation needs), and how it
+// answers — a multi-source pass for the batcher, direct funcs for
+// scatter–gather routers, or both.
 type Ranked struct {
 	// N is the node count requests are validated against.
 	N int
@@ -294,11 +271,11 @@ type Ranked struct {
 	// bound advertised" and reports 0.
 	Bound func(rank int) float64
 	// Query answers one multi-source pass at a chosen rank. May be nil
-	// when TopK is set: wire backends have no column path (the batcher
-	// then rejects column requests with ErrBadRequest).
+	// when TopK is set: wire backends have no n x |Q| pass (the batcher
+	// then rejects the requests that reach it with ErrBadRequest).
 	Query RankQueryFunc
 	// TopK, when non-nil, serves Search/TopK directly instead of through
-	// the column batcher. Scores does the same for Score/Similarity.
+	// the batcher. Scores does the same for Score/Similarity.
 	TopK   DirectTopKFunc
 	Scores DirectScoreFunc
 	// Drift, when non-nil, reports the live ingestion drift bound for
@@ -315,133 +292,39 @@ type Ranked struct {
 // concurrent use.
 type DriftFunc func() (bound float64, exceeded bool)
 
-// NewMat is New for a scratch-aware engine: every engine pass borrows an
-// n x maxBatch-capacity matrix from a sync.Pool instead of allocating
-// n x |Q| afresh, which keeps the steady-state serving hot path
-// allocation-light (the per-column copies handed to callers remain — they
-// outlive the batch). Everything else matches New.
-func NewMat(n int, queryFn MatQueryFunc, cfg Config) *Server {
-	s := newServer(cfg)
-	s.SwapMat(n, queryFn)
-	return s
-}
-
-// NewRanked is New for an engine with rank structure: scratch pooling as
-// in NewMat, plus context propagation into the engine pass and graceful
-// degradation per cfg.Degrade.
+// NewRanked builds a Server over engine e, which becomes generation 1;
+// SwapRanked installs successors. Every engine pass reuses a pooled
+// n x |Q| scratch matrix, sees the batch context (an abandoned batch
+// stops mid-pass), and — for engines with rank structure — runs
+// truncated under pressure per cfg.Degrade.
 func NewRanked(e Ranked, cfg Config) *Server {
-	s := newServer(cfg)
+	cfg = cfg.withDefaults()
+	m := NewMetrics()
+	if cfg.Cache != nil {
+		cfg.Cache.SetRecorder(m)
+	}
+	s := &Server{cfg: cfg, metrics: m}
 	s.SwapRanked(e)
 	return s
 }
 
-// wrapQuery adapts a plain engine to the batcher's internal signature:
-// the context is checked once at the engine boundary (the engine itself
-// cannot be interrupted) and the rank is ignored (nothing to truncate).
-func wrapQuery(queryFn QueryFunc) batchQueryFunc {
-	return func(ctx context.Context, queries []int, _ int) ([][]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return queryFn(queries)
-	}
-}
-
-// wrapMatQuery adapts a scratch-aware engine to the batcher, giving it a
-// private sync.Pool of scratch matrices. Each generation gets its own
-// pool, so scratch dimensioned for an old graph never leaks into a new
-// engine's passes.
-func wrapMatQuery(queryFn MatQueryFunc) batchQueryFunc {
-	var pool sync.Pool
-	return func(ctx context.Context, queries []int, _ int) ([][]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if fault.ShouldFailAlloc(fault.SiteScratchAlloc) {
-			return nil, fault.ErrAllocFailed
-		}
-		scratch, _ := pool.Get().(*dense.Mat)
-		s, err := queryFn(queries, scratch)
-		if err != nil {
-			if scratch != nil {
-				pool.Put(scratch)
-			}
-			return nil, err
-		}
-		cols := make([][]float64, len(queries))
-		for j := range queries {
-			cols[j] = s.Col(j, nil)
-		}
-		pool.Put(s) // s is scratch when it had capacity, else its grown replacement
-		return cols, nil
-	}
-}
-
-// wrapRankQuery is wrapMatQuery for a rank-aware engine: the context and
-// rank reach the engine pass itself.
-func wrapRankQuery(queryFn RankQueryFunc) batchQueryFunc {
-	var pool sync.Pool
-	return func(ctx context.Context, queries []int, rank int) ([][]float64, error) {
-		if fault.ShouldFailAlloc(fault.SiteScratchAlloc) {
-			return nil, fault.ErrAllocFailed
-		}
-		scratch, _ := pool.Get().(*dense.Mat)
-		s, err := queryFn(ctx, queries, rank, scratch)
-		if err != nil {
-			if scratch != nil {
-				pool.Put(scratch)
-			}
-			return nil, err
-		}
-		cols := make([][]float64, len(queries))
-		for j := range queries {
-			cols[j] = s.Col(j, nil)
-		}
-		pool.Put(s)
-		return cols, nil
-	}
-}
-
-// stubQuery is the batcher's engine func for backends that only serve
-// through direct funcs: wire routers never materialise n x |Q| columns,
-// so the column path is a caller error, not a missing feature.
-func stubQuery(context.Context, []int, int) ([][]float64, error) {
-	return nil, fmt.Errorf("%w: this backend serves top-k and targeted scores only (no column path)", ErrBadRequest)
-}
-
-// Swap atomically installs a new engine generation and returns its
-// number. Requests admitted after Swap returns are validated against n,
-// answered by queryFn, and cached under the new generation's key space;
-// batches already in flight finish on the old engine (RCU-style: readers
-// drain, they are never interrupted). Swap then closes the old
-// generation's batcher — flushing its pending requests — and clears the
-// result cache so superseded entries release their memory immediately
-// (they are already unreachable: cache keys embed the generation).
-// Returns 0 without swapping when the server is already closed.
-func (s *Server) Swap(n int, queryFn QueryFunc) uint64 {
-	return s.swapBackend(n, 0, nil, wrapQuery(queryFn), nil, nil, nil)
-}
-
-// SwapMat is Swap for a scratch-aware engine (see NewMat).
-func (s *Server) SwapMat(n int, queryFn MatQueryFunc) uint64 {
-	return s.swapBackend(n, 0, nil, wrapMatQuery(queryFn), nil, nil, nil)
-}
-
-// SwapRanked is Swap for an engine with rank structure (see NewRanked).
+// SwapRanked atomically installs a new engine generation and returns its
+// number. Requests admitted after SwapRanked returns are validated
+// against e.N, answered by e, and cached under the new generation's key
+// space; batches already in flight finish on the old engine (RCU-style:
+// readers drain, they are never interrupted). SwapRanked then closes the
+// old generation's batcher — flushing its pending requests — and clears
+// the result cache so superseded entries release their memory
+// immediately (they are already unreachable: cache keys embed the
+// generation). Returns 0 without swapping when the server is already
+// closed.
 func (s *Server) SwapRanked(e Ranked) uint64 {
-	var queryFn batchQueryFunc = stubQuery
-	if e.Query != nil {
-		queryFn = wrapRankQuery(e.Query)
-	}
-	return s.swapBackend(e.N, e.Rank, e.Bound, queryFn, e.TopK, e.Scores, e.Drift)
-}
-
-func (s *Server) swapBackend(n, rank int, bound func(int) float64, queryFn batchQueryFunc, topkFn DirectTopKFunc, scoresFn DirectScoreFunc, driftFn DriftFunc) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.closed {
 		return 0
 	}
+	bound := e.Bound
 	if bound == nil {
 		bound = func(int) float64 { return 0 }
 	}
@@ -449,7 +332,7 @@ func (s *Server) swapBackend(n, rank int, bound func(int) float64, queryFn batch
 	// truncation of this engine; the queue-depth trigger needs a positive
 	// fraction of the admission bound.
 	degradedRank, overloadDepth := 0, int64(0)
-	if rank > 0 && s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < rank {
+	if e.Rank > 0 && s.cfg.Degrade.Rank > 0 && s.cfg.Degrade.Rank < e.Rank {
 		degradedRank = s.cfg.Degrade.Rank
 		if f := s.cfg.Degrade.QueueFraction; f > 0 {
 			overloadDepth = int64(f * float64(s.cfg.MaxPending))
@@ -458,14 +341,14 @@ func (s *Server) swapBackend(n, rank int, bound func(int) float64, queryFn batch
 	s.gen++
 	nb := &backend{
 		gen:          s.gen,
-		n:            n,
-		rank:         rank,
+		n:            e.N,
+		rank:         e.Rank,
 		degradedRank: degradedRank,
 		bound:        bound,
-		batcher:      newBatcher(queryFn, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxPending, s.cfg.Workers, s.cfg.StrictLinger, s.metrics, degradedRank, overloadDepth),
-		topkFn:       topkFn,
-		scoresFn:     scoresFn,
-		drift:        driftFn,
+		batcher:      newBatcher(e.Query, s.cfg.MaxBatch, s.cfg.Linger, s.cfg.MaxPending, s.cfg.Workers, s.cfg.StrictLinger, s.metrics, degradedRank, overloadDepth),
+		topkFn:       e.TopK,
+		scoresFn:     e.Scores,
+		drift:        e.Drift,
 	}
 	old := s.be.Swap(nb)
 	s.metrics.SetGeneration(s.gen)
@@ -544,34 +427,42 @@ func (s *Server) degradeVote(ctx context.Context) bool {
 	return ok && time.Until(dl) < mb
 }
 
-// columns resolves the current generation and runs one batched engine
-// pass on it. When the resolved generation is superseded between the
-// load and the enqueue — its batcher rejects with ErrClosed but the
-// server as a whole is still open — the request transparently retries on
-// the successor, so a reload in progress never surfaces as a caller
-// error. Each retry re-resolves the generation, and the returned backend
-// is the one that actually answered (its gen names the cache key space,
-// its rank structure interprets the returned effective rank).
-func (s *Server) columns(ctx context.Context, nodes []int, degrade bool) (*backend, map[int][]float64, int, error) {
-	for first := true; ; first = false {
+// submit resolves the current generation and has its batcher answer
+// req. When the resolved generation is superseded between the load and
+// the enqueue — its batcher rejects with ErrClosed but the server as a
+// whole is still open — the request transparently retries on the
+// successor, so a reload in progress never surfaces as a caller error.
+// Each attempt re-resolves the generation and re-validates against it
+// (a successor may serve a smaller graph: an id valid before the swap
+// must fail validation, not reach the new engine), and the returned
+// backend is the one that actually answered (its gen names the cache
+// key space, its rank structure interprets the returned effective rank).
+func (s *Server) submit(req *request) (*backend, response) {
+	for {
 		be := s.be.Load()
-		if !first {
-			// The successor may serve a different graph; a node id valid
-			// under the superseded generation must fail validation, not
-			// reach the new engine.
-			if err := validateNodes(nodes, be.n); err != nil {
-				return be, nil, 0, s.reject(err)
-			}
+		if err := validateRequest(req, be.n); err != nil {
+			return be, response{err: s.reject(err)}
 		}
-		cols, rank, err := be.batcher.ColumnsDegrade(ctx, nodes, degrade)
-		if err != nil {
-			if errors.Is(err, ErrClosed) && s.be.Load() != be {
-				continue // lost the race with a Swap; the successor is live
-			}
-			return be, nil, 0, err
+		resp := be.batcher.submit(req)
+		if errors.Is(resp.err, ErrClosed) && s.be.Load() != be {
+			continue // lost the race with a Swap; the successor is live
 		}
-		return be, cols, rank, nil
+		return be, resp
 	}
+}
+
+// validateRequest checks a request's node ids against a generation's
+// node count.
+func validateRequest(req *request, n int) error {
+	if err := validateNodes(req.nodes, n); err != nil {
+		return err
+	}
+	for _, t := range req.targets {
+		if t < 0 || t >= n {
+			return fmt.Errorf("%w: target %d out of range [0, %d)", ErrBadRequest, t, n)
+		}
+	}
+	return nil
 }
 
 // info tags a response with the rank that answered it and the
@@ -644,11 +535,11 @@ func (s *Server) Search(ctx context.Context, queries []int, k int) (SearchResult
 
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
-	served, cols, rank, err := s.columns(ctx, queries, s.degradeVote(ctx))
-	if err != nil {
-		return SearchResult{}, err
+	served, resp := s.submit(&request{ctx: ctx, nodes: queries, k: k, degrade: s.degradeVote(ctx)})
+	if resp.err != nil {
+		return SearchResult{}, resp.err
 	}
-	matches := selectTopK(cols, queries, k)
+	matches, rank := resp.matches, resp.rank
 	if s.cfg.Cache != nil && rank <= 0 {
 		// Key by the generation that served the batch (it may be newer
 		// than the one the cache was probed under): the entry must only
@@ -688,19 +579,12 @@ func (s *Server) Score(ctx context.Context, queries, targets []int) (PairsResult
 	}
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
-	served, cols, rank, err := s.columns(ctx, queries, s.degradeVote(ctx))
-	if err != nil {
-		return PairsResult{}, err
-	}
-	out := make([]Pair, 0, len(queries)*len(targets))
-	for _, q := range queries {
-		col := cols[q]
-		for _, t := range targets {
-			out = append(out, Pair{Query: q, Target: t, Score: col[t]})
-		}
+	served, resp := s.submit(&request{ctx: ctx, nodes: queries, targets: targets, degrade: s.degradeVote(ctx)})
+	if resp.err != nil {
+		return PairsResult{}, resp.err
 	}
 	s.metrics.Latency.Observe(time.Since(start).Seconds())
-	return PairsResult{Pairs: out, Info: s.info(served, rank)}, nil
+	return PairsResult{Pairs: resp.pairs, Info: s.info(served, resp.rank)}, nil
 }
 
 // directRank is the admission-time degradation decision for direct-path
@@ -741,10 +625,7 @@ func (s *Server) searchDirect(ctx context.Context, start time.Time, be *backend,
 		}
 		return SearchResult{}, err
 	}
-	matches := make([]Match, len(items))
-	for i, it := range items {
-		matches[i] = Match{Node: it.Node, Score: it.Score}
-	}
+	matches := toMatches(items)
 	info := s.info(be, rank)
 	if prov.MissingShards > 0 {
 		if !info.Degraded {
@@ -787,41 +668,18 @@ func (s *Server) scoreDirect(ctx context.Context, start time.Time, be *backend, 
 	return PairsResult{Pairs: out, Info: s.info(be, rank)}, nil
 }
 
-// selectTopK mirrors csrplus.Engine.TopK / TopKMulti exactly: single
-// queries exclude themselves; multi-source queries rank by summed
-// similarity (duplicates in the query set weigh double) excluding every
-// query node.
-func selectTopK(cols map[int][]float64, queries []int, k int) []Match {
-	if len(queries) == 1 {
-		q := queries[0]
-		items := topk.Select(cols[q], k, q)
-		out := make([]Match, len(items))
-		for i, it := range items {
-			out[i] = Match{Node: it.Node, Score: it.Score}
-		}
-		return out
-	}
-	agg := make([]float64, len(cols[queries[0]]))
-	for _, q := range queries {
-		for i, v := range cols[q] {
-			agg[i] += v
-		}
-	}
-	exclude := make(map[int]bool, len(queries))
-	for _, q := range queries {
-		exclude[q] = true
-	}
-	items := topk.SelectSet(agg, k, exclude)
-	out := make([]Match, 0, len(items))
-	for _, it := range items {
-		out = append(out, Match{Node: it.Node, Score: it.Score})
+// toMatches converts selected items to the response shape.
+func toMatches(items []topk.Item) []Match {
+	out := make([]Match, len(items))
+	for i, it := range items {
+		out[i] = Match{Node: it.Node, Score: it.Score}
 	}
 	return out
 }
 
 // topKKey namespaces cache entries by engine generation: after a Swap,
 // every pre-swap entry becomes unreachable by construction, so a stale
-// column can never be served against a new index even while old and new
+// answer can never be served against a new index even while old and new
 // generations briefly coexist.
 func topKKey(gen uint64, queries []int, k int) string {
 	ids := make([]string, len(queries))

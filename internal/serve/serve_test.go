@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"csrplus/internal/cache"
+	"csrplus/internal/dense"
 )
 
 // rankEngine serves columns with a distinct, known ranking: the column of
@@ -19,29 +20,27 @@ type rankEngine struct {
 	delay time.Duration
 }
 
-func (e *rankEngine) query(queries []int) ([][]float64, error) {
+func (e *rankEngine) query(_ context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
 	e.calls.Add(1)
 	if e.delay > 0 {
 		time.Sleep(e.delay)
 	}
-	out := make([][]float64, len(queries))
+	m := scratch.Reuse(e.n, len(queries))
 	for j, q := range queries {
-		col := make([]float64, e.n)
-		for i := range col {
+		for i := 0; i < e.n; i++ {
 			d := i - q
 			if d < 0 {
 				d = -d
 			}
-			col[i] = 1 / float64(1+d)
+			m.Set(i, j, 1/float64(1+d))
 		}
-		out[j] = col
 	}
-	return out, nil
+	return m, nil
 }
 
 func newTestServer(t *testing.T, eng *rankEngine, cfg Config) *Server {
 	t.Helper()
-	s := New(eng.n, eng.query, cfg)
+	s := NewRanked(Ranked{N: eng.n, Query: eng.query}, cfg)
 	t.Cleanup(s.Close)
 	return s
 }
@@ -204,7 +203,7 @@ func TestServerTimeout(t *testing.T) {
 
 func TestServerClose(t *testing.T) {
 	eng := &rankEngine{n: 6}
-	s := New(eng.n, eng.query, Config{Linger: -1})
+	s := NewRanked(Ranked{N: eng.n, Query: eng.query}, Config{Linger: -1})
 	if _, _, err := s.TopK(context.Background(), []int{1}, 3); err != nil {
 		t.Fatal(err)
 	}

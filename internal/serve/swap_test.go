@@ -10,25 +10,24 @@ import (
 	"time"
 
 	"csrplus/internal/cache"
+	"csrplus/internal/dense"
 )
 
-// genQuery builds a QueryFunc whose scores encode the generation that
+// genQuery builds an engine whose scores encode the generation that
 // produced them: column entry i scores gen + i/(2n), so floor(score)
 // recovers the generation and higher node ids rank higher. Any response
 // mixing generations, or serving an older generation to a request that
 // started after a newer one was installed, is detectable from the scores
 // alone.
-func genQuery(n int, gen uint64) QueryFunc {
-	return func(queries []int) ([][]float64, error) {
-		out := make([][]float64, len(queries))
+func genQuery(n int, gen uint64) RankQueryFunc {
+	return func(_ context.Context, queries []int, _ int, scratch *dense.Mat) (*dense.Mat, error) {
+		m := scratch.Reuse(n, len(queries))
 		for j := range queries {
-			col := make([]float64, n)
-			for i := range col {
-				col[i] = float64(gen) + float64(i)/float64(2*n)
+			for i := 0; i < n; i++ {
+				m.Set(i, j, float64(gen)+float64(i)/float64(2*n))
 			}
-			out[j] = col
 		}
-		return out, nil
+		return m, nil
 	}
 }
 
@@ -47,7 +46,7 @@ func scoreGen(t *testing.T, matches []Match) uint64 {
 }
 
 func TestServerSwapBasic(t *testing.T) {
-	s := New(8, genQuery(8, 1), Config{Linger: -1, Cache: cache.New(32)})
+	s := NewRanked(Ranked{N: 8, Query: genQuery(8, 1)}, Config{Linger: -1, Cache: cache.New(32)})
 	defer s.Close()
 	if got := s.Generation(); got != 1 {
 		t.Fatalf("boot generation = %d, want 1", got)
@@ -64,7 +63,7 @@ func TestServerSwapBasic(t *testing.T) {
 	if _, cached, _ = s.TopK(context.Background(), []int{3}, 2); !cached {
 		t.Fatal("warm-up query not cached")
 	}
-	if gen := s.Swap(8, genQuery(8, 2)); gen != 2 {
+	if gen := s.SwapRanked(Ranked{N: 8, Query: genQuery(8, 2)}); gen != 2 {
 		t.Fatalf("Swap returned generation %d, want 2", gen)
 	}
 	if got := s.Metrics().Generation(); got != 2 {
@@ -87,12 +86,12 @@ func TestServerSwapBasic(t *testing.T) {
 }
 
 func TestServerSwapChangesN(t *testing.T) {
-	s := New(10, genQuery(10, 1), Config{Linger: -1, MaxK: 100})
+	s := NewRanked(Ranked{N: 10, Query: genQuery(10, 1)}, Config{Linger: -1, MaxK: 100})
 	defer s.Close()
 	if _, _, err := s.TopK(context.Background(), []int{9}, 3); err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(4, genQuery(4, 2)) // the new graph shrank
+	s.SwapRanked(Ranked{N: 4, Query: genQuery(4, 2)}) // the new graph shrank
 	if _, _, err := s.TopK(context.Background(), []int{9}, 3); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("node 9 on a 4-node generation: err = %v, want ErrBadRequest", err)
 	}
@@ -109,9 +108,9 @@ func TestServerSwapChangesN(t *testing.T) {
 }
 
 func TestServerSwapAfterCloseRefused(t *testing.T) {
-	s := New(4, genQuery(4, 1), Config{Linger: -1})
+	s := NewRanked(Ranked{N: 4, Query: genQuery(4, 1)}, Config{Linger: -1})
 	s.Close()
-	if gen := s.Swap(4, genQuery(4, 2)); gen != 0 {
+	if gen := s.SwapRanked(Ranked{N: 4, Query: genQuery(4, 2)}); gen != 0 {
 		t.Fatalf("Swap after Close returned %d, want 0", gen)
 	}
 	if _, _, err := s.TopK(context.Background(), []int{1}, 2); !errors.Is(err, ErrClosed) {
@@ -133,7 +132,7 @@ func TestReloadUnderFire(t *testing.T) {
 		workers = 8
 	)
 	var current atomic.Uint64 // highest generation Swap has returned
-	s := New(n, genQuery(n, 1), Config{
+	s := NewRanked(Ranked{N: n, Query: genQuery(n, 1)}, Config{
 		MaxBatch:   8,
 		Linger:     100 * time.Microsecond,
 		Workers:    4,
@@ -181,7 +180,7 @@ func TestReloadUnderFire(t *testing.T) {
 
 	for g := uint64(2); g <= swaps+1; g++ {
 		time.Sleep(3 * time.Millisecond)
-		if gen := s.Swap(n, genQuery(n, g)); gen != g {
+		if gen := s.SwapRanked(Ranked{N: n, Query: genQuery(n, g)}); gen != g {
 			t.Fatalf("swap %d returned generation %d", g, gen)
 		}
 		// Only after Swap returns may workers treat g as the floor: a
@@ -220,12 +219,12 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 	const n = 8
 	enter := make(chan struct{}, 1)
 	release := make(chan struct{})
-	slow := func(queries []int) ([][]float64, error) {
+	slow := func(ctx context.Context, queries []int, rank int, scratch *dense.Mat) (*dense.Mat, error) {
 		enter <- struct{}{}
 		<-release
-		return genQuery(n, 1)(queries)
+		return genQuery(n, 1)(ctx, queries, rank, scratch)
 	}
-	s := New(n, slow, Config{Linger: -1, Workers: 1})
+	s := NewRanked(Ranked{N: n, Query: slow}, Config{Linger: -1, Workers: 1})
 	defer s.Close()
 
 	done := make(chan []Match, 1)
@@ -240,7 +239,7 @@ func TestServerSwapDrainsOldGeneration(t *testing.T) {
 
 	swapped := make(chan struct{})
 	go func() {
-		s.Swap(n, genQuery(n, 2))
+		s.SwapRanked(Ranked{N: n, Query: genQuery(n, 2)})
 		close(swapped)
 	}()
 	select {

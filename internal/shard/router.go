@@ -352,12 +352,6 @@ func (r *Router) QueryRankInto(ctx context.Context, queries []int, rank int, scr
 	return s, nil
 }
 
-// QueryInto is QueryRankInto at full rank without a context — it
-// satisfies serve.MatQueryFunc.
-func (r *Router) QueryInto(queries []int, scratch *dense.Mat) (*dense.Mat, error) {
-	return r.QueryRankInto(context.Background(), queries, 0, scratch)
-}
-
 // TopK returns the exact global top-k for a query set via scatter–gather:
 // every shard selects the top-k of the nodes it owns from its own partial
 // scores, and the k best of the union is the answer. Semantics mirror

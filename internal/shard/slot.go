@@ -198,27 +198,45 @@ func (l *Local) BoundTerms(ctx context.Context) (BoundTerms, error) {
 
 // PartialTopK computes sh's partial top-k list for a gathered query set:
 // the shard's band of the column matrix, aggregated per node in query
-// order (j outer, matching Engine.TopKMulti's summation order element for
-// element; for a single query this adds one column onto zeros, which is
-// exact), then the top-k of the owned nodes with every query node
-// excluded. It is the one computation both the in-process Local slot and
-// the wire worker's /shard/query handler run, so the bytes a worker ships
-// are the bytes the in-process router would have merged.
+// order (j = 0…|Q|-1 accumulated onto zero, matching Engine.TopKMulti's
+// summation order element for element; for a single query this adds one
+// column onto zero, which is exact), then the top-k of the owned nodes
+// with every query node excluded. The band is borrowed from a pool and
+// reduced in one row-major pass straight into a bounded top-k
+// accumulator, so a call allocates no Rows() x |Q| matrix and no
+// aggregate vector. It is the one computation both the in-process Local
+// slot and the wire worker's /shard/query handler run, so the bytes a
+// worker ships are the bytes the in-process router would have merged.
 func PartialTopK(ctx context.Context, sh *core.IndexShard, queries []int, uq *dense.Mat, k, rank int) ([]topk.Item, error) {
-	cols := len(queries)
-	partial := dense.NewMat(sh.Rows(), cols)
-	if err := sh.PartialInto(ctx, queries, uq, rank, partial); err != nil {
+	rows, cols := sh.Rows(), len(queries)
+	scratch, _ := bands.Get().(*dense.Mat)
+	band := scratch.Reuse(rows, cols)
+	defer bands.Put(band)
+	if err := sh.PartialInto(ctx, queries, uq, rank, band); err != nil {
 		return nil, err
 	}
-	agg := make([]float64, sh.Rows())
-	for j := 0; j < cols; j++ {
-		for row := 0; row < sh.Rows(); row++ {
-			agg[row] += partial.At(row, j)
-		}
+	if k <= 0 {
+		return nil, nil
+	}
+	if k > rows {
+		k = rows
 	}
 	exclude := make(map[int]bool, cols)
 	for _, q := range queries {
 		exclude[q] = true
 	}
-	return topk.SelectRange(agg, k, sh.Lo(), exclude), nil
+	acc := topk.NewAcc(k, exclude)
+	lo := sh.Lo()
+	for row := 0; row < rows; row++ {
+		var sum float64
+		for _, v := range band.Data[row*cols : row*cols+cols] {
+			sum += v
+		}
+		acc.Push(lo+row, sum)
+	}
+	return acc.Items(), nil
 }
+
+// bands pools PartialTopK's Rows() x |Q| scratch: one per in-flight
+// call, resized by Reuse, shared by every slot of the process.
+var bands sync.Pool

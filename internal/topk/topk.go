@@ -12,7 +12,6 @@
 package topk
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -35,25 +34,114 @@ func itemLess(a, b Item) bool {
 	return a.Node < b.Node
 }
 
-// itemHeap is a min-heap on Score (ties broken by larger Node so that the
-// worst-ranked item under itemLess is always at the root).
-type itemHeap []Item
+// worse reports whether a ranks strictly below b under itemLess — the
+// heap order of Acc, whose root is the worst item kept.
+func worse(a, b Item) bool { return itemLess(b, a) }
 
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Node > h[j].Node
+// Acc accumulates the k best (node, score) candidates offered to it
+// under the package ordering, in a bounded min-heap whose root is the
+// worst item kept. It is the one selection every path in the module
+// shares: SelectRange feeds it a score slice, and callers that score
+// candidates on the fly (a row-major reduce over a query's column block)
+// feed it one candidate at a time without materialising a score vector.
+//
+// Push compares a candidate against the heap's threshold before looking
+// it up in the exclusion set, so once the heap is full the common case
+// — a candidate no better than the k-th best so far — costs two float
+// compares. NaN scores are skipped: NaN compares false with everything,
+// so letting one into the heap would corrupt its invariant (and a NaN
+// can reach here from a diverged or denormal similarity column). ±Inf
+// orders normally and is kept. Candidates must carry distinct nodes.
+type Acc struct {
+	k       int
+	exclude map[int]bool
+	h       []Item
 }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// NewAcc returns an accumulator for the k best candidates, dropping
+// every node with exclude[node] == true (nil excludes nothing). k <= 0
+// keeps nothing. The heap is allocated at capacity k, so callers clamp k
+// to their candidate count.
+func NewAcc(k int, exclude map[int]bool) *Acc {
+	if k < 0 {
+		k = 0
+	}
+	return &Acc{k: k, exclude: exclude, h: make([]Item, 0, k)}
+}
+
+// Push offers one candidate.
+func (a *Acc) Push(node int, score float64) {
+	// Full (or k == 0): only a candidate ranking above the root can
+	// enter. NaN fails both compares in worse and is dropped here.
+	if len(a.h) == a.k && (a.k == 0 || !worse(a.h[0], Item{node, score})) {
+		return
+	}
+	a.admit(node, score)
+}
+
+// admit inserts a candidate that passed Push's threshold test, unless
+// it is excluded (or, while the heap fills, NaN).
+func (a *Acc) admit(node int, score float64) {
+	if len(a.h) == a.k {
+		if !a.exclude[node] {
+			a.h[0] = Item{node, score}
+			a.down(0, len(a.h))
+		}
+		return
+	}
+	if math.IsNaN(score) || a.exclude[node] {
+		return
+	}
+	a.h = append(a.h, Item{node, score})
+	a.up(len(a.h) - 1)
+}
+
+// Items returns the kept candidates ordered by descending score
+// (ascending node id among ties) — never nil, empty when nothing was
+// kept. The heap array is sorted in place and handed over, leaving the
+// accumulator empty.
+func (a *Acc) Items() []Item {
+	h := a.h
+	// Heapsort: the root is the worst kept item, so moving it to the end
+	// of the shrinking heap leaves the array ordered best-first.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		a.down(0, end)
+	}
+	a.h = nil
+	return h
+}
+
+func (a *Acc) up(i int) {
+	h := a.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// down restores the heap order below i within h[:n].
+func (a *Acc) down(i, n int) {
+	h := a.h
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && worse(h[r], h[l]) {
+			m = r
+		}
+		if !worse(h[m], h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Select returns the k highest-scoring items of scores, ordered by
@@ -83,34 +171,20 @@ func SelectSet(scores []float64, k int, exclude map[int]bool) []Item {
 // and the exclusion set holds those global node ids. It exists for
 // row-partitioned shards, where a shard scores only its contiguous node
 // range [base, base+len(scores)) but results and exclusions are in
-// global ids; base 0 recovers SelectSet.
-//
-// NaN scores are skipped: NaN compares false with everything, so letting
-// one into the min-heap would corrupt the heap invariant (and a NaN can
-// reach here from a diverged or denormal similarity column). ±Inf orders
-// normally and is kept.
+// global ids; base 0 recovers SelectSet. NaN scores are skipped (see
+// Acc).
 func SelectRange(scores []float64, k, base int, exclude map[int]bool) []Item {
 	if k <= 0 {
 		return nil
 	}
-	h := make(itemHeap, 0, k)
-	for i, score := range scores {
-		node := base + i
-		if exclude[node] || math.IsNaN(score) {
-			continue
-		}
-		if len(h) < k {
-			heap.Push(&h, Item{node, score})
-			continue
-		}
-		if h[0].Score < score || (h[0].Score == score && h[0].Node > node) {
-			h[0] = Item{node, score}
-			heap.Fix(&h, 0)
-		}
+	if k > len(scores) {
+		k = len(scores)
 	}
-	out := []Item(h)
-	sort.Slice(out, func(i, j int) bool { return itemLess(out[i], out[j]) })
-	return out
+	acc := NewAcc(k, exclude)
+	for i, score := range scores {
+		acc.Push(base+i, score)
+	}
+	return acc.Items()
 }
 
 // Merge combines per-shard partial top-k lists into the exact global

@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -275,17 +274,48 @@ func TestMergeEdgeCases(t *testing.T) {
 }
 
 func TestHeapInterfaceDirect(t *testing.T) {
-	// Exercise the container/heap contract (Push/Pop) directly.
-	h := &itemHeap{}
-	heap.Init(h)
+	// Exercise the accumulator's heap directly: the root is always the
+	// worst kept item, and a full heap replaces it only with a better one.
+	a := NewAcc(3, nil)
 	for _, it := range []Item{{0, 0.5}, {1, 0.1}, {2, 0.9}} {
-		heap.Push(h, it)
+		a.Push(it.Node, it.Score)
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d", h.Len())
+	if len(a.h) != 3 {
+		t.Fatalf("len = %d", len(a.h))
 	}
-	got := heap.Pop(h).(Item)
-	if got.Node != 1 { // min-heap pops the smallest score
-		t.Fatalf("popped %+v, want node 1", got)
+	if got := a.h[0]; got.Node != 1 { // min-heap root is the smallest score
+		t.Fatalf("root %+v, want node 1", got)
+	}
+	a.Push(3, 0.05) // worse than the root: rejected
+	a.Push(4, 0.5)  // ties node 0 at 0.5 and beats the root 0.1
+	if got := a.h[0]; got != (Item{4, 0.5}) {
+		t.Fatalf("root %+v after replacement, want {4 0.5}", got)
+	}
+	got := a.Items()
+	want := []Item{{2, 0.9}, {0, 0.5}, {4, 0.5}}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("items %v, want %v", got, want)
+		}
+	}
+}
+
+// TestAccExclusion: an excluded node is dropped whether it arrives while
+// the heap fills (node 0) or would displace the root of a full heap
+// (node 5), so the kept set is the top-k of the non-excluded candidates.
+func TestAccExclusion(t *testing.T) {
+	a := NewAcc(2, map[int]bool{5: true, 0: true})
+	for node, score := range []float64{0.9, 0.8, 0.7, 0.1, 0.2, 0.95} {
+		a.Push(node, score)
+	}
+	got := a.Items()
+	if len(got) != 2 || got[0] != (Item{1, 0.8}) || got[1] != (Item{2, 0.7}) {
+		t.Fatalf("items %v, want [{1 0.8} {2 0.7}]", got)
+	}
+	if a := NewAcc(0, nil); len(a.Items()) != 0 {
+		t.Fatal("k = 0 kept items")
+	}
+	if got := NewAcc(4, nil).Items(); got == nil || len(got) != 0 {
+		t.Fatalf("empty accumulator Items = %#v, want empty non-nil", got)
 	}
 }
